@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 
-use tyr_dfg::{Dfg, InKind, NodeKind};
+use tyr_dfg::{Dfg, InKind, NodeKind, PortRef};
 use tyr_ir::{MemoryImage, Value};
 use tyr_stats::probe::{FaultKind, NoProbe, Probe, ProbeEvent, StallReason};
 use tyr_stats::{IpcHistogram, Trace};
@@ -120,20 +120,65 @@ impl Default for OrderedConfig {
     }
 }
 
+/// What a node's readiness depends on besides its counters.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// Fires once, when its outputs have room.
+    Source,
+    /// Fires once, when every wired input holds a token.
+    Sink,
+    /// Needs the input its control token selects, not every input.
+    CMerge,
+    /// Needs every wired input and room on every output.
+    Plain,
+}
+
 /// The ordered-dataflow engine.
+///
+/// Readiness is kept incrementally (DESIGN.md §7.9): per node, a count of
+/// its empty wired input FIFOs and of its full output-target FIFOs, updated
+/// on every push and pop, and a ready bitset refreshed whenever a node's
+/// counters change. A cycle issues the set bits in node order, which is
+/// exactly the index-order scan over start-of-cycle state.
 pub struct OrderedEngine<'a, P: Probe = NoProbe> {
     dfg: &'a Dfg,
     mem: MemoryImage,
     cfg: OrderedConfig,
-    /// Resolved per-edge capacity: `caps[node][port]`.
-    caps: Vec<Vec<usize>>,
-    /// One FIFO per wired input port: `fifos[node][port]`.
-    fifos: Vec<Vec<VecDeque<Value>>>,
+    class: Vec<Class>,
+    /// Input slots: input `p` of node `n` is slot `in_base[n] + p`
+    /// (`in_base` has one extra entry, the slot count).
+    in_base: Vec<u32>,
+    /// Per slot: its FIFO, its capacity, and its immediate (`None` for a
+    /// wired input).
+    fifos: Vec<VecDeque<Value>>,
+    caps: Vec<usize>,
+    imms: Vec<Option<Value>>,
+    /// Per slot: the producer node of every edge into it, with
+    /// multiplicity (`prods[prod_off[s]..prod_off[s + 1]]`).
+    prod_off: Vec<u32>,
+    prods: Vec<u32>,
+    /// CSR output wiring: output `p` of node `n` feeds the `(node, slot)`
+    /// pairs `targets[out_off[out_base[n] + p]..out_off[out_base[n] + p + 1]]`.
+    out_base: Vec<u32>,
+    out_off: Vec<u32>,
+    targets: Vec<(u32, u32)>,
+    /// Per node: wired input FIFOs that are empty.
+    empty_in: Vec<u32>,
+    /// Per node: output edges whose target FIFO is full.
+    full_out: Vec<u32>,
+    /// Bit `n` is set iff node `n` can fire against the current state.
+    ready_bits: Vec<u64>,
+    /// Scratch: the nodes issued this cycle.
+    firing: Vec<usize>,
     source_fired: bool,
     /// Memory results in flight, per load node (results of one node stay
     /// ordered; different nodes deliver independently):
     /// `delayed[node] = (release_cycle, value)`.
     delayed: Vec<VecDeque<(u64, Value)>>,
+    /// Bit `n` is set iff `delayed[n]` is non-empty, so the release drain
+    /// and the event jump visit only loads with results in flight, in node
+    /// order.
+    inflight: Vec<u64>,
     delayed_count: usize,
     live: u64,
     fired_total: u64,
@@ -215,39 +260,108 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                 n.label
             );
         }
+        let capacity = cfg.capacity();
         let mut live = 0;
-        let fifos: Vec<Vec<VecDeque<Value>>> = dfg
-            .nodes
-            .iter()
-            .map(|n| {
-                let mut qs: Vec<VecDeque<Value>> = n.ins.iter().map(|_| VecDeque::new()).collect();
-                if let NodeKind::CMerge { initial_ctl } = &n.kind {
-                    for &t in initial_ctl {
-                        qs[0].push_back(t);
-                        live += 1;
-                    }
+        let n = dfg.len();
+        let n_slots: usize = dfg.nodes.iter().map(|n| n.ins.len()).sum();
+        let mut class = Vec::with_capacity(n);
+        let (mut in_base, mut out_base) = (Vec::with_capacity(n + 1), Vec::with_capacity(n + 1));
+        in_base.push(0u32);
+        out_base.push(0u32);
+        let mut fifos = Vec::with_capacity(n_slots);
+        let (mut caps, mut imms) = (Vec::with_capacity(n_slots), Vec::with_capacity(n_slots));
+        for (ni, n) in dfg.nodes.iter().enumerate() {
+            class.push(match n.kind {
+                NodeKind::Source => Class::Source,
+                NodeKind::Sink => Class::Sink,
+                NodeKind::CMerge { .. } => Class::CMerge,
+                _ => Class::Plain,
+            });
+            let base = fifos.len();
+            for (p, k) in n.ins.iter().enumerate() {
+                fifos.push(VecDeque::new());
+                caps.push(capacity.of(ni as u32, p as u16));
+                imms.push(match k {
+                    InKind::Wire => None,
+                    InKind::Imm(v) => Some(*v),
+                });
+            }
+            if let NodeKind::CMerge { initial_ctl } = &n.kind {
+                for &t in initial_ctl {
+                    fifos[base].push_back(t);
+                    live += 1;
                 }
-                qs
+            }
+            in_base.push(fifos.len() as u32);
+            out_base.push(out_base[ni] + n.outs.len() as u32);
+        }
+        let slot = |t: &PortRef| in_base[t.node.0 as usize] + u32::from(t.port);
+        let mut out_off = Vec::with_capacity(out_base[dfg.len()] as usize + 1);
+        out_off.push(0u32);
+        let mut targets = Vec::new();
+        // Producers per slot, bucketed by a counting sort.
+        let mut prod_off = vec![0u32; fifos.len() + 1];
+        for n in &dfg.nodes {
+            for port in &n.outs {
+                for t in port {
+                    targets.push((t.node.0, slot(t)));
+                    prod_off[slot(t) as usize + 1] += 1;
+                }
+                out_off.push(targets.len() as u32);
+            }
+        }
+        for s in 0..fifos.len() {
+            prod_off[s + 1] += prod_off[s];
+        }
+        let mut fill = prod_off.clone();
+        let mut prods = vec![0u32; targets.len()];
+        for (ni, n) in dfg.nodes.iter().enumerate() {
+            for t in n.outs.iter().flatten() {
+                let s = slot(t) as usize;
+                prods[fill[s] as usize] = ni as u32;
+                fill[s] += 1;
+            }
+        }
+        let empty_in = (0..n)
+            .map(|ni| {
+                let slots = in_base[ni] as usize..in_base[ni + 1] as usize;
+                slots.filter(|&s| imms[s].is_none() && fifos[s].is_empty()).count() as u32
             })
             .collect();
-        let capacity = cfg.capacity();
-        let caps: Vec<Vec<usize>> = dfg
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(ni, n)| (0..n.ins.len()).map(|p| capacity.of(ni as u32, p as u16)).collect())
+        let full_out = (0..n)
+            .map(|ni| {
+                let edges = out_off[out_base[ni] as usize] as usize
+                    ..out_off[out_base[ni + 1] as usize] as usize;
+                targets[edges]
+                    .iter()
+                    .filter(|&&(_, s)| fifos[s as usize].len() >= caps[s as usize])
+                    .count() as u32
+            })
             .collect();
         let faults = cfg.faults.as_ref().map(FaultState::new);
         let dog = cfg.watchdog.arm();
         let cache = cfg.mem.build();
-        OrderedEngine {
+        let mut engine = OrderedEngine {
             dfg,
             mem,
             cfg,
-            caps,
+            class,
+            in_base,
             fifos,
+            caps,
+            imms,
+            prod_off,
+            prods,
+            out_base,
+            out_off,
+            targets,
+            empty_in,
+            full_out,
+            ready_bits: vec![0; n.div_ceil(64)],
+            firing: Vec::new(),
             source_fired: false,
-            delayed: vec![VecDeque::new(); dfg.len()],
+            delayed: vec![VecDeque::new(); n],
+            inflight: vec![0; n.div_ceil(64)],
             delayed_count: 0,
             live,
             fired_total: 0,
@@ -262,8 +376,12 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
             faults,
             dog,
             probe,
-            stall_state: if P::ENABLED { vec![None; dfg.len()] } else { Vec::new() },
+            stall_state: if P::ENABLED { vec![None; n] } else { Vec::new() },
+        };
+        for ni in 0..n {
+            engine.refresh(ni);
         }
+        engine
     }
 
     /// Simulates the memory model for one access and returns its latency
@@ -285,13 +403,76 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
         }
     }
 
-    fn outputs_have_space(&self, idx: usize) -> bool {
-        self.dfg.nodes[idx].outs.iter().all(|targets| {
-            targets.iter().all(|t| {
-                self.fifos[t.node.0 as usize][t.port as usize].len()
-                    < self.caps[t.node.0 as usize][t.port as usize]
-            })
-        })
+    /// The output edges of node `idx`, all ports in order, as indices into
+    /// `targets`.
+    fn out_edges(&self, idx: usize) -> std::ops::Range<usize> {
+        self.out_off[self.out_base[idx] as usize] as usize
+            ..self.out_off[self.out_base[idx + 1] as usize] as usize
+    }
+
+    /// The input slots of node `idx`.
+    fn in_slots(&self, idx: usize) -> std::ops::Range<usize> {
+        self.in_base[idx] as usize..self.in_base[idx + 1] as usize
+    }
+
+    fn slot_full(&self, s: usize) -> bool {
+        self.fifos[s].len() >= self.caps[s]
+    }
+
+    /// Whether a CMerge's control token is present and the input it
+    /// selects holds a token (or is an immediate).
+    fn cmerge_side_ok(&self, idx: usize) -> bool {
+        let base = self.in_base[idx] as usize;
+        let Some(&ctl) = self.fifos[base].front() else { return false };
+        let side = base + if ctl == 0 { 1 } else { 2 };
+        self.imms[side].is_some() || !self.fifos[side].is_empty()
+    }
+
+    fn is_ready(&self, idx: usize) -> bool {
+        let room = self.full_out[idx] == 0;
+        match self.class[idx] {
+            Class::Source => !self.source_fired && room,
+            Class::Sink => self.returns.is_none() && self.empty_in[idx] == 0,
+            Class::CMerge => self.cmerge_side_ok(idx) && room,
+            Class::Plain => self.empty_in[idx] == 0 && room,
+        }
+    }
+
+    /// Re-derives node `idx`'s ready bit after its state changed.
+    fn refresh(&mut self, idx: usize) {
+        let bit = 1u64 << (idx % 64);
+        if self.is_ready(idx) {
+            self.ready_bits[idx / 64] |= bit;
+        } else {
+            self.ready_bits[idx / 64] &= !bit;
+        }
+    }
+
+    /// Slot `s` crossed its capacity: every producer feeding it gains
+    /// (`full`) or loses a full output edge.
+    fn fullness_changed(&mut self, s: usize, full: bool) {
+        for i in self.prod_off[s] as usize..self.prod_off[s + 1] as usize {
+            let p = self.prods[i] as usize;
+            if full {
+                self.full_out[p] += 1;
+            } else {
+                self.full_out[p] -= 1;
+            }
+            self.refresh(p);
+        }
+    }
+
+    /// Appends `val` to slot `s` of node `node`, keeping the counters.
+    fn push_token(&mut self, node: u32, s: usize, val: Value) {
+        self.fifos[s].push_back(val);
+        let len = self.fifos[s].len();
+        if len == 1 && self.imms[s].is_none() {
+            self.empty_in[node as usize] -= 1;
+            self.refresh(node as usize);
+        }
+        if len == self.caps[s] {
+            self.fullness_changed(s, true);
+        }
     }
 
     /// Describes why each stuck node is stuck, for the deadlock outcome:
@@ -303,29 +484,24 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
         let mut out = Vec::new();
         for idx in 0..self.dfg.len() {
             let n = &self.dfg.nodes[idx];
-            let held: usize = self.fifos[idx].iter().map(|q| q.len()).sum();
+            let held: usize = self.in_slots(idx).map(|s| self.fifos[s].len()).sum();
             if held == 0 || matches!(n.kind, NodeKind::Source) {
                 continue;
             }
             let starved =
-                n.ins.iter().enumerate().find(|(p, kind)| {
-                    matches!(kind, InKind::Wire) && self.fifos[idx][*p].is_empty()
-                });
-            let reason = if let Some((p, _)) = starved {
-                format!("starved on i{p}")
-            } else if let Some(t) = n
-                .outs
-                .iter()
-                .flatten()
-                .find(|t| !self.outputs_have_space_at(t.node.0 as usize, t.port as usize))
+                self.in_slots(idx).find(|&s| self.imms[s].is_none() && self.fifos[s].is_empty());
+            let reason = if let Some(s) = starved {
+                format!("starved on i{}", s - self.in_base[idx] as usize)
+            } else if let Some(&(tn, ts)) =
+                self.targets[self.out_edges(idx)].iter().find(|&&(_, s)| self.slot_full(s as usize))
             {
-                let (tn, tp) = (t.node.0 as usize, t.port as usize);
+                let (tn, ts) = (tn as usize, ts as usize);
                 format!(
                     "back-pressured: {}.i{} full ({}/{})",
                     self.dfg.nodes[tn].label,
-                    tp,
-                    self.fifos[tn][tp].len(),
-                    self.caps[tn][tp],
+                    ts - self.in_base[tn] as usize,
+                    self.fifos[ts].len(),
+                    self.caps[ts],
                 )
             } else {
                 // e.g. a CMerge whose selected side is empty.
@@ -340,10 +516,6 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
         out
     }
 
-    fn outputs_have_space_at(&self, node: usize, port: usize) -> bool {
-        self.fifos[node][port].len() < self.caps[node][port]
-    }
-
     /// Whether `idx` could fire if its output FIFOs had room — i.e. it is
     /// blocked *only* by back-pressure. At quiescence this is a wedge, not
     /// a normal end state: nothing will ever fire again, so the full
@@ -351,20 +523,12 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
     /// merely *starved* node at quiescence is normal — the loops' final
     /// control tokens always end up starved.)
     fn back_pressured(&self, idx: usize) -> bool {
-        let n = &self.dfg.nodes[idx];
-        match &n.kind {
-            NodeKind::Source => !self.source_fired && !self.outputs_have_space(idx),
-            NodeKind::Sink => false,
-            NodeKind::CMerge { .. } => {
-                let Some(&ctl) = self.fifos[idx][0].front() else { return false };
-                let side = if ctl == 0 { 1 } else { 2 };
-                let side_ok = match n.ins[side] {
-                    InKind::Imm(_) => true,
-                    InKind::Wire => !self.fifos[idx][side].is_empty(),
-                };
-                side_ok && !self.outputs_have_space(idx)
-            }
-            _ => self.wired_inputs_ready(idx) && !self.outputs_have_space(idx),
+        let blocked = self.full_out[idx] > 0;
+        match self.class[idx] {
+            Class::Source => !self.source_fired && blocked,
+            Class::Sink => false,
+            Class::CMerge => self.cmerge_side_ok(idx) && blocked,
+            Class::Plain => self.empty_in[idx] == 0 && blocked,
         }
     }
 
@@ -376,10 +540,10 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
     /// stall intervals use tag 0.
     fn scan_stalls(&mut self) {
         for idx in 0..self.dfg.len() {
-            if matches!(self.dfg.nodes[idx].kind, NodeKind::Source | NodeKind::Sink) {
+            if matches!(self.class[idx], Class::Source | Class::Sink) {
                 continue;
             }
-            let held: usize = self.fifos[idx].iter().map(|q| q.len()).sum();
+            let held: usize = self.in_slots(idx).map(|s| self.fifos[s].len()).sum();
             let now = if held == 0 || self.is_ready(idx) {
                 None
             } else if self.back_pressured(idx) {
@@ -403,64 +567,42 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
         }
     }
 
-    fn wired_inputs_ready(&self, idx: usize) -> bool {
-        self.dfg.nodes[idx].ins.iter().enumerate().all(|(p, kind)| match kind {
-            InKind::Imm(_) => true,
-            InKind::Wire => !self.fifos[idx][p].is_empty(),
-        })
-    }
-
-    fn is_ready(&self, idx: usize) -> bool {
-        let n = &self.dfg.nodes[idx];
-        match &n.kind {
-            NodeKind::Source => !self.source_fired && self.outputs_have_space(idx),
-            NodeKind::Sink => self.returns.is_none() && self.wired_inputs_ready(idx),
-            NodeKind::CMerge { .. } => {
-                let Some(&ctl) = self.fifos[idx][0].front() else { return false };
-                let side = if ctl == 0 { 1 } else { 2 };
-                let side_ok = match n.ins[side] {
-                    InKind::Imm(_) => true,
-                    InKind::Wire => !self.fifos[idx][side].is_empty(),
-                };
-                side_ok && self.outputs_have_space(idx)
-            }
-            _ => self.wired_inputs_ready(idx) && self.outputs_have_space(idx),
-        }
-    }
-
     fn pop(&mut self, idx: usize, port: usize) -> Value {
-        match self.dfg.nodes[idx].ins[port] {
-            InKind::Imm(v) => v,
-            InKind::Wire => {
-                self.live -= 1;
-                if P::ENABLED {
-                    self.probe.event(
-                        self.cycle,
-                        ProbeEvent::TokenConsumed { node: idx as u32, count: 1 },
-                    );
-                }
-                self.fifos[idx][port].pop_front().expect("readiness checked")
-            }
+        let s = self.in_base[idx] as usize + port;
+        if let Some(v) = self.imms[s] {
+            return v;
         }
+        self.live -= 1;
+        if P::ENABLED {
+            self.probe.event(self.cycle, ProbeEvent::TokenConsumed { node: idx as u32, count: 1 });
+        }
+        let v = self.fifos[s].pop_front().expect("readiness checked");
+        let len = self.fifos[s].len();
+        if len == 0 {
+            self.empty_in[idx] += 1;
+        }
+        if len + 1 == self.caps[s] {
+            self.fullness_changed(s, false);
+        }
+        v
     }
 
     fn push_outputs(&mut self, idx: usize, port: usize, val: Value) {
-        // Copy the graph reference out of `self` so the target list is
-        // iterated in place — the per-fire `outs[port].clone()` this
-        // replaces was a hot-path allocation.
-        let dfg = self.dfg;
-        for &t in &dfg.nodes[idx].outs[port] {
+        let slot = self.out_base[idx] as usize + port;
+        for i in self.out_off[slot] as usize..self.out_off[slot + 1] as usize {
+            let (tn, ts) = self.targets[i];
             let mut val = val;
             if let Some(fs) = self.faults.as_mut() {
-                let tn = t.node.0;
+                let dfg = self.dfg;
+                let tp = ts - self.in_base[tn as usize];
                 if fs.strike(self.cycle, FaultKind::TokenDrop) {
                     fs.record(
                         self.cycle,
                         tn,
                         FaultKind::TokenDrop,
                         format!(
-                            "dropped token (value {val}) bound for '{}' port {}",
-                            dfg.nodes[tn as usize].label, t.port
+                            "dropped token (value {val}) bound for '{}' port {tp}",
+                            dfg.nodes[tn as usize].label
                         ),
                     );
                     if P::ENABLED {
@@ -477,8 +619,8 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                         tn,
                         FaultKind::TokenDup,
                         format!(
-                            "duplicated token (value {val}) bound for '{}' port {}",
-                            dfg.nodes[tn as usize].label, t.port
+                            "duplicated token (value {val}) bound for '{}' port {tp}",
+                            dfg.nodes[tn as usize].label
                         ),
                     );
                     if P::ENABLED {
@@ -490,9 +632,10 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                     }
                     // The extra token skews the edge's FIFO alignment for
                     // the rest of the run: a wrong answer or a wedge.
-                    self.fifos[tn as usize][t.port as usize].push_back(val);
+                    self.push_token(tn, ts as usize, val);
                     self.live += 1;
                 }
+                let fs = self.faults.as_mut().expect("checked above");
                 if fs.strike(self.cycle, FaultKind::TokenCorrupt) {
                     let mask = fs.mask();
                     let before = val;
@@ -502,8 +645,8 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                         tn,
                         FaultKind::TokenCorrupt,
                         format!(
-                            "corrupted token for '{}' port {}: {before} -> {val}",
-                            dfg.nodes[tn as usize].label, t.port
+                            "corrupted token for '{}' port {tp}: {before} -> {val}",
+                            dfg.nodes[tn as usize].label
                         ),
                     );
                     if P::ENABLED {
@@ -515,9 +658,9 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                 }
             }
             if P::ENABLED {
-                self.probe.event(self.cycle, ProbeEvent::TokenProduced { node: t.node.0 });
+                self.probe.event(self.cycle, ProbeEvent::TokenProduced { node: tn });
             }
-            self.fifos[t.node.0 as usize][t.port as usize].push_back(val);
+            self.push_token(tn, ts as usize, val);
             self.live += 1;
         }
     }
@@ -526,10 +669,11 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
         // Match the node kind by reference (`kind.clone()` here used to
         // heap-allocate for every CMerge fire, whose kind owns a Vec).
         let dfg = self.dfg;
+        let n_ins = self.in_slots(idx).len();
         match &dfg.nodes[idx].kind {
             NodeKind::Alu(op) => {
                 let a = self.pop(idx, 0);
-                let b = if self.dfg.nodes[idx].ins.len() > 1 { self.pop(idx, 1) } else { 0 };
+                let b = if n_ins > 1 { self.pop(idx, 1) } else { 0 };
                 let v = op.eval(a, b)?;
                 self.push_outputs(idx, 0, v);
             }
@@ -541,7 +685,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
             }
             NodeKind::Load => {
                 let addr = self.pop(idx, 0);
-                if self.dfg.nodes[idx].ins.len() > 1 {
+                if n_ins > 1 {
                     self.pop(idx, 1); // trigger
                 }
                 let mut v = self.mem.load(addr)?;
@@ -606,13 +750,14 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                     self.live += 1; // in flight in the memory system
                     let release = self.cycle + lat.max(1) + extra;
                     self.delayed[idx].push_back((release, v));
+                    self.inflight[idx / 64] |= 1 << (idx % 64);
                     self.delayed_count += 1;
                 }
             }
             NodeKind::Store | NodeKind::StoreAdd => {
                 let addr = self.pop(idx, 0);
                 let v = self.pop(idx, 1);
-                if self.dfg.nodes[idx].ins.len() > 2 {
+                if n_ins > 2 {
                     self.pop(idx, 2); // trigger
                 }
                 if matches!(dfg.nodes[idx].kind, NodeKind::Store) {
@@ -648,7 +793,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                 self.push_outputs(idx, 0, c);
             }
             NodeKind::Source => {
-                let n_outs = self.dfg.nodes[idx].outs.len();
+                let n_outs = (self.out_base[idx + 1] - self.out_base[idx]) as usize;
                 for k in 0..n_outs - 1 {
                     let v = self.cfg.args.get(k).copied().unwrap_or(0);
                     self.push_outputs(idx, k, v);
@@ -657,13 +802,63 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                 self.source_fired = true;
             }
             NodeKind::Sink => {
-                let n_ins = self.dfg.nodes[idx].ins.len();
                 let vals: Vec<Value> = (0..n_ins).map(|p| self.pop(idx, p)).collect();
                 self.returns = Some(vals[..self.dfg.n_returns].to_vec());
             }
             other => unreachable!("{} in an ordered graph", other.mnemonic()),
         }
+        self.refresh(idx);
         Ok(())
+    }
+
+    /// The earliest release among the loads with results in flight.
+    fn next_release(&self) -> Option<u64> {
+        let mut next = None;
+        for (w, &bits) in self.inflight.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let idx = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let r = self.delayed[idx].front().expect("in-flight bit set").0;
+                next = Some(next.map_or(r, |m: u64| m.min(r)));
+            }
+        }
+        next
+    }
+
+    /// Releases matured memory results — per load node, in node order and
+    /// issue order, and only into FIFOs with space: the memory system
+    /// honors back-pressure, otherwise a late delivery could consume the
+    /// flow-control bubble a loop cycle needs and wedge the machine.
+    /// Returns how many results were released.
+    fn release_matured(&mut self) -> usize {
+        let mut released = 0;
+        for w in 0..self.inflight.len() {
+            let mut bits = self.inflight[w];
+            while bits != 0 {
+                let idx = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                while let Some(&(r, _)) = self.delayed[idx].front() {
+                    if r > self.cycle + 1 {
+                        break;
+                    }
+                    let slot = self.out_base[idx] as usize;
+                    let edges = self.out_off[slot] as usize..self.out_off[slot + 1] as usize;
+                    if self.targets[edges].iter().any(|&(_, s)| self.slot_full(s as usize)) {
+                        break;
+                    }
+                    let (_, v) = self.delayed[idx].pop_front().expect("checked");
+                    self.delayed_count -= 1;
+                    released += 1;
+                    self.live -= 1; // re-counted by push_outputs
+                    self.push_outputs(idx, 0, v);
+                }
+                if self.delayed[idx].is_empty() {
+                    self.inflight[w] &= !(1 << (idx % 64));
+                }
+            }
+        }
+        released
     }
 
     /// Runs the program.
@@ -689,13 +884,18 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                 .with_faults(log)
                 .with_skipped(self.skipped));
             }
-            // Snapshot readiness against start-of-cycle state.
-            let mut ready: Vec<usize> = Vec::new();
-            for idx in 0..self.dfg.len() {
-                if ready.len() >= self.cfg.issue_width {
-                    break;
-                }
-                if self.is_ready(idx) {
+            // Snapshot readiness against start-of-cycle state: the set bits
+            // in node order, up to the issue width.
+            let mut firing = std::mem::take(&mut self.firing);
+            firing.clear();
+            'scan: for w in 0..self.ready_bits.len() {
+                let mut bits = self.ready_bits[w];
+                while bits != 0 {
+                    if firing.len() >= self.cfg.issue_width {
+                        break 'scan;
+                    }
+                    let idx = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
                     if let Some(fs) = self.faults.as_mut() {
                         let fresh = fs.stuck_node().is_none();
                         if fs.is_stuck(self.cycle, idx as u32) {
@@ -722,43 +922,18 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                             continue;
                         }
                     }
-                    ready.push(idx);
+                    firing.push(idx);
                 }
             }
-            let fired = ready.len() as u64;
-            for idx in ready {
+            let fired = firing.len() as u64;
+            for &idx in &firing {
                 self.fire(idx)?;
                 if P::ENABLED {
                     self.probe.event(self.cycle, ProbeEvent::NodeFired { node: idx as u32 });
                 }
             }
-            // Release matured memory results — per load node, in issue
-            // order, and only into FIFOs with space: the memory system
-            // honors back-pressure, otherwise a late delivery could consume
-            // the flow-control bubble a loop cycle needs and wedge the
-            // machine.
-            let mut released = 0usize;
-            if self.delayed_count > 0 {
-                for idx in 0..self.dfg.len() {
-                    while let Some(&(r, _)) = self.delayed[idx].front() {
-                        if r > self.cycle + 1 {
-                            break;
-                        }
-                        let has_space = self.dfg.nodes[idx].outs[0].iter().all(|t| {
-                            self.fifos[t.node.0 as usize][t.port as usize].len()
-                                < self.caps[t.node.0 as usize][t.port as usize]
-                        });
-                        if !has_space {
-                            break;
-                        }
-                        let (_, v) = self.delayed[idx].pop_front().expect("checked");
-                        self.delayed_count -= 1;
-                        released += 1;
-                        self.live -= 1; // re-counted by push_outputs
-                        self.push_outputs(idx, 0, v);
-                    }
-                }
-            }
+            self.firing = firing;
+            let released = if self.delayed_count > 0 { self.release_matured() } else { 0 };
             if P::ENABLED {
                 self.scan_stalls();
             }
@@ -775,12 +950,15 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
                 // machine at quiescence (normal runs leave only the loops'
                 // final control tokens).
                 if std::env::var_os("TYR_ORDERED_DEBUG").is_some() {
-                    for (i, qs) in self.fifos.iter().enumerate() {
-                        for (p, q) in qs.iter().enumerate() {
+                    for i in 0..self.dfg.len() {
+                        for s in self.in_slots(i) {
+                            let q = &self.fifos[s];
                             if !q.is_empty() {
                                 eprintln!(
-                                    "[ordered] leftover: {} .i{p} holds {:?}",
-                                    self.dfg.nodes[i].label, q
+                                    "[ordered] leftover: {} .i{} holds {:?}",
+                                    self.dfg.nodes[i].label,
+                                    s - self.in_base[i] as usize,
+                                    q
                                 );
                             }
                         }
@@ -839,12 +1017,7 @@ impl<'a, P: Probe> OrderedEngine<'a, P> {
             // target is clamped so the cycle limit and the watchdog's cycle
             // budget trip at exactly their ticked cycles.
             if self.cfg.event_driven && fired == 0 && released == 0 && self.delayed_count > 0 {
-                let next = self
-                    .delayed
-                    .iter()
-                    .filter_map(|q| q.front().map(|&(r, _)| r))
-                    .min()
-                    .expect("delayed_count > 0");
+                let next = self.next_release().expect("delayed_count > 0");
                 // Never leap past an outstanding MSHR fill (it frees an MSHR
                 // entry, releasing back-pressure on future misses).
                 let fill =
