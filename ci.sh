@@ -16,6 +16,11 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 cargo build --offline --workspace --release
 cargo test --offline --workspace -q
+# The benchmark's own tests (a separate workspace, ~1 min): every workload
+# reports its listed metrics, a seed's fingerprint is stable, failed runs
+# are counted, and suite-ideal reproduces BENCH_suite.json's cycles and
+# dyn_instrs.
+cargo test --offline --release --manifest-path perfbench/Cargo.toml -q
 # The full static-analysis + translation-validation battery over the suite
 # (tiny scale keeps the gate fast), including the Fig. 11 and ordered-FIFO
 # static-vs-dynamic cross-validations; exits nonzero on any diagnostic
